@@ -135,11 +135,13 @@ type Options struct {
 	// match generation stage (Section 5.2.5): 0 = GOMAXPROCS, 1 = the
 	// sequential depth-first path. The first join level is split into
 	// morsels consumed by the workers, each with its own allocation-free
-	// scratch state. The match set is always exactly the sequential set;
-	// Match (collect) output and OrderByProb streams are deterministic
-	// regardless of Parallelism, while an OrderEmit stream's emission order
-	// (and, with Limit, which matches are kept) depends on worker
-	// scheduling when Parallelism > 1.
+	// scratch state. The match set is always exactly the sequential set.
+	// Match and MatchPlan collect per worker: each worker sorts its own
+	// run and one k-way merge writes the result, so collect output is
+	// identical at any Parallelism, as are OrderByProb streams. Which
+	// matches a Limit keeps, and an OrderEmit stream's emission order
+	// (matches fan into the serial yield through a channel), depend on
+	// worker scheduling when Parallelism > 1.
 	Parallelism int
 	// Calibration, when set, corrects the planner's cardinality estimates
 	// with feedback from earlier executions against the same index and
@@ -254,61 +256,22 @@ func Explain(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Optio
 
 // Match answers a probabilistic subgraph pattern matching query
 // (Definition 5) over the graph behind the given index: all matches M with
-// Pr(M) ≥ α, together with per-stage statistics. It is a thin collect-all
-// adapter over MatchStream; with Order == OrderEmit the collected matches
-// are sorted by mapping (then probability) for deterministic output, with
-// OrderByProb the probability-descending stream order is preserved.
+// Pr(M) ≥ α, together with per-stage statistics. It is Prepare followed by
+// MatchPlan; with Order == OrderEmit the matches are sorted by
+// plan.CompareMatches (mapping, then probability) for deterministic output,
+// with OrderByProb they come best-first by probability.
 func Match(ctx context.Context, ix pathindex.Reader, q *query.Query, opt Options) (*Result, error) {
-	var col matchCollector
-	st, err := MatchStream(ctx, ix, q, opt, col.add)
+	start := time.Now()
+	pl, err := Prepare(ctx, ix, q, opt)
 	if err != nil {
 		return nil, err
 	}
-	return col.result(st, opt.Order), nil
-}
-
-// matchCollector accumulates streamed matches in exponentially growing
-// chunks spliced once at the end: append-growing one big slice reallocates
-// several times the final footprint at typical result sizes (the runtime
-// grows large slices by ~1.25×, so the abandoned backing arrays sum to ~5×
-// the result), and that churn dominated match-collect's bytes/op. Both
-// collect adapters — Match and MatchPlan — share it, so the cached-plan
-// path gets the same allocation profile as the planning path.
-type matchCollector struct {
-	chunks [][]join.Match
-	cur    []join.Match
-	total  int
-}
-
-func (c *matchCollector) add(m join.Match) bool {
-	if len(c.cur) == cap(c.cur) {
-		n := 2 * cap(c.cur)
-		if n == 0 {
-			n = 512
-		}
-		if len(c.cur) > 0 {
-			c.chunks = append(c.chunks, c.cur)
-		}
-		c.cur = make([]join.Match, 0, n)
+	res, err := MatchPlan(ctx, ix, pl, opt)
+	if err != nil {
+		return nil, err
 	}
-	c.cur = append(c.cur, m)
-	c.total++
-	return true
-}
-
-func (c *matchCollector) result(st Stats, order ResultOrder) *Result {
-	if c.total == 0 {
-		return &Result{Stats: st}
-	}
-	ms := make([]join.Match, 0, c.total)
-	for _, chunk := range c.chunks {
-		ms = append(ms, chunk...)
-	}
-	ms = append(ms, c.cur...)
-	if order == OrderEmit {
-		plan.SortMatches(ms)
-	}
-	return &Result{Matches: ms, Stats: st}
+	addPlanStage(&res.Stats, pl, start)
+	return res, nil
 }
 
 // MatchStream answers the same query as Match but drives a per-match yield
@@ -329,8 +292,14 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 	if err != nil {
 		return st, err
 	}
-	// Planning ran in this call, so its cost belongs to this run's stats; a
-	// cached-plan execution (MatchStreamPlan directly) reports zero here.
+	addPlanStage(&st, pl, start)
+	return st, nil
+}
+
+// addPlanStage charges planning, which ran in this call, to the run's
+// stats: a cached-plan execution (MatchStreamPlan, MatchPlan) reports zero
+// there. Total is measured from start, before planning.
+func addPlanStage(st *Stats, pl *plan.Plan, start time.Time) {
 	st.PlanTime = pl.PlanTime
 	st.DecomposeTime = pl.DecomposeTime
 	st.Stages = append([]plan.StageStats{{
@@ -338,7 +307,6 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 		Micros: plan.Micros(pl.PlanTime),
 	}}, st.Stages...)
 	st.Total = time.Since(start)
-	return st, nil
 }
 
 // MatchStreamPlan executes a previously prepared plan, skipping query
@@ -349,28 +317,42 @@ func MatchStream(ctx context.Context, ix pathindex.Reader, q *query.Query, opt O
 // rather than silently ignored — a plan prepared at α=0.25 cannot be
 // mistaken for a run at α=0.9.
 func MatchStreamPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options, yield func(join.Match) bool) (Stats, error) {
-	if err := opt.Validate(); err != nil {
+	exec, err := executor(ix, pl, opt)
+	if err != nil {
 		return Stats{}, err
 	}
-	if opt.Alpha != pl.Alpha {
-		return Stats{}, &OptionsError{Field: "Alpha", Reason: fmt.Sprintf("%v differs from the prepared plan's %v", opt.Alpha, pl.Alpha)}
-	}
-	if pl.Tree != nil && opt.Strategy.Name() != pl.Tree.Strategy {
-		return Stats{}, &OptionsError{Field: "Strategy", Reason: fmt.Sprintf("%s differs from the prepared plan's %s", opt.Strategy.Name(), pl.Tree.Strategy)}
-	}
-	exec := plan.NewExecutor(ix, opt.Calibration)
 	return exec.Run(ctx, pl, opt.exec(), yield)
 }
 
-// MatchPlan is the collect-all adapter over MatchStreamPlan, mirroring
-// Match over MatchStream.
+// MatchPlan is the collect-all form of MatchStreamPlan, returning the
+// whole result set in Match's order. It runs plan.Executor.Collect: with
+// Parallelism > 1 every join worker collects and sorts its own run and one
+// merge writes the result, so no match crosses a channel.
 func MatchPlan(ctx context.Context, ix pathindex.Reader, pl *plan.Plan, opt Options) (*Result, error) {
-	var col matchCollector
-	st, err := MatchStreamPlan(ctx, ix, pl, opt, col.add)
+	exec, err := executor(ix, pl, opt)
 	if err != nil {
 		return nil, err
 	}
-	return col.result(st, opt.Order), nil
+	ms, st, err := exec.Collect(ctx, pl, opt.exec())
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Matches: ms, Stats: st}, nil
+}
+
+// executor validates the run-time options against a prepared plan and
+// returns the executor that runs it.
+func executor(ix pathindex.Reader, pl *plan.Plan, opt Options) (*plan.Executor, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.Alpha != pl.Alpha {
+		return nil, &OptionsError{Field: "Alpha", Reason: fmt.Sprintf("%v differs from the prepared plan's %v", opt.Alpha, pl.Alpha)}
+	}
+	if pl.Tree != nil && opt.Strategy.Name() != pl.Tree.Strategy {
+		return nil, &OptionsError{Field: "Strategy", Reason: fmt.Sprintf("%s differs from the prepared plan's %s", opt.Strategy.Name(), pl.Tree.Strategy)}
+	}
+	return plan.NewExecutor(ix, opt.Calibration), nil
 }
 
 // ReductionStats isolates the joint search-space reduction for the Figure

@@ -3,13 +3,20 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/gen"
 	"repro/internal/join"
+	"repro/internal/pathindex"
+	"repro/internal/plan"
+	"repro/internal/query"
 )
 
 // matchesIdentical demands exact equality — mapping, Prle, Prn (bitwise),
@@ -41,8 +48,9 @@ func matchesIdentical(t *testing.T, label string, want, got []join.Match) {
 
 // TestParallelCollectEquivalence is the parallel-correctness property: on
 // seeded random synthetic PGDs, collect-mode results at Parallelism 2, 4,
-// and 8 are exactly equal (mapping, Prle, Prn, order) to the sequential run,
-// across both decomposition strategies.
+// and 8 — through Match and through MatchPlan on a prepared plan — are
+// exactly equal (mapping, Prle, Prn, order) to the sequential run, across
+// both decomposition strategies.
 func TestParallelCollectEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
@@ -88,6 +96,12 @@ func TestParallelCollectEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d q%d %v: sequential: %v", seed, qi, s, err)
 				}
+				// MatchPlan is the cached-plan collect path; the plan is
+				// prepared once and run at every width.
+				pl, err := core.Prepare(context.Background(), ix, q, opts(1))
+				if err != nil {
+					t.Fatalf("seed %d q%d %v: Prepare: %v", seed, qi, s, err)
+				}
 				for _, par := range []int{2, 4, 8} {
 					res, err := core.Match(context.Background(), ix, q, opts(par))
 					if err != nil {
@@ -98,6 +112,11 @@ func TestParallelCollectEquivalence(t *testing.T) {
 						t.Fatalf("seed %d q%d %v P=%d: Matched %d, want %d",
 							seed, qi, s, par, res.Stats.Matched, seq.Stats.Matched)
 					}
+					pres, err := core.MatchPlan(context.Background(), ix, pl, opts(par))
+					if err != nil {
+						t.Fatalf("seed %d q%d %v P=%d: MatchPlan: %v", seed, qi, s, par, err)
+					}
+					matchesIdentical(t, "MatchPlan "+q.Format(g.Alphabet()), seq.Matches, pres.Matches)
 				}
 			}
 		}
@@ -260,5 +279,194 @@ func TestParallelismValidation(t *testing.T) {
 	}
 	if _, err := core.Match(context.Background(), ix, q, core.Options{Alpha: 0.5, Parallelism: -1}); err == nil {
 		t.Error("negative parallelism accepted")
+	}
+}
+
+// collectWorkload builds a synthetic PGD and returns a query whose full
+// match set is large enough that a P=4 collect runs a real parallel join:
+// a random 4-node path at a low α.
+func collectWorkload(t *testing.T) (*pathindex.Index, *query.Query, float64) {
+	t.Helper()
+	d, err := gen.Synthetic(gen.SynthOptions{
+		Refs: 400, EdgeFactor: 3, Labels: 3, UncertainFrac: 0.3,
+		Groups: 4, GroupSize: 3, PairsPerGroup: 2, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := buildIx(t, g, 2, 0.05)
+	const alpha = 0.05
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 20; i++ {
+		q, err := gen.RandomQuery(rng, g.NumLabels(), 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Match(context.Background(), ix, q, core.Options{Alpha: alpha, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) >= 3000 {
+			return ix, q, alpha
+		}
+	}
+	t.Fatal("no match-rich query found")
+	return nil, nil, 0
+}
+
+// TestParallelCollectLimit: on a match-rich query an unlimited P=4 collect
+// equals the sequential one, and a Limit collect at P=4 returns exactly
+// Limit matches, sorted, each one (bitwise) a member of the full match set,
+// and flags truncation.
+func TestParallelCollectLimit(t *testing.T) {
+	ix, q, alpha := collectWorkload(t)
+	full, err := core.Match(context.Background(), ix, q, core.Options{Alpha: alpha, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := core.Match(context.Background(), ix, q, core.Options{Alpha: alpha, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesIdentical(t, "unlimited P=4", full.Matches, par.Matches)
+	type probs struct{ prle, prn float64 }
+	want := make(map[string]probs, len(full.Matches))
+	for _, m := range full.Matches {
+		want[fmt.Sprint(m.Mapping)] = probs{m.Prle, m.Prn}
+	}
+	for _, limit := range []int{1, 7, len(full.Matches) / 3} {
+		res, err := core.Match(context.Background(), ix, q, core.Options{Alpha: alpha, Limit: limit, Parallelism: 4})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if len(res.Matches) != limit || res.Stats.Matched != limit {
+			t.Fatalf("limit %d: %d matches, Matched %d", limit, len(res.Matches), res.Stats.Matched)
+		}
+		if !res.Stats.Truncated {
+			t.Fatalf("limit %d: not flagged Truncated", limit)
+		}
+		for i, m := range res.Matches {
+			if p, ok := want[fmt.Sprint(m.Mapping)]; !ok || p != (probs{m.Prle, m.Prn}) {
+				t.Fatalf("limit %d: match %d %v (%v, %v) not in the full set", limit, i, m.Mapping, m.Prle, m.Prn)
+			}
+			if i > 0 && plan.CompareMatches(res.Matches[i-1], m) >= 0 {
+				t.Fatalf("limit %d: matches %d and %d out of order", limit, i-1, i)
+			}
+		}
+	}
+}
+
+// tripCtx cancels itself on its trip-th Err call, so a cancellation lands
+// at a chosen point inside a run instead of racing a timer. trip 0 never
+// cancels and just counts.
+type tripCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	trip   int64
+}
+
+func newTripCtx(trip int64) *tripCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &tripCtx{Context: ctx, cancel: cancel, trip: trip}
+}
+
+func (c *tripCtx) Err() error {
+	if c.calls.Add(1) == c.trip {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestParallelCollectCancellation: a cancellation in the middle of a P=4
+// collect's join returns ctx.Err(), and every worker goroutine is gone
+// when the call returns.
+func TestParallelCollectCancellation(t *testing.T) {
+	ix, q, alpha := collectWorkload(t)
+	opt := core.Options{Alpha: alpha, Parallelism: 4}
+	pl, err := core.Prepare(context.Background(), ix, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count the Err calls before the join (at the first streamed match) and
+	// over a whole collect, then trip halfway through the join.
+	pre := newTripCtx(0)
+	var atFirst int64
+	if _, err := core.MatchStreamPlan(pre, ix, pl, opt, func(join.Match) bool {
+		atFirst = pre.calls.Load()
+		return false
+	}); err != nil {
+		t.Fatal(err)
+	}
+	all := newTripCtx(0)
+	if _, err := core.MatchPlan(all, ix, pl, opt); err != nil {
+		t.Fatal(err)
+	}
+	total := all.calls.Load()
+	if total-atFirst < 4 {
+		t.Fatalf("join checks the context only %d times", total-atFirst)
+	}
+	base := runtime.NumGoroutine()
+	ctx := newTripCtx(atFirst + (total-atFirst)/2)
+	defer ctx.cancel()
+	res, err := core.MatchPlan(ctx, ix, pl, opt)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled collect: res %v, err %v; want nil, context.Canceled", res, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the canceled collect, %d before", n, base)
+	}
+}
+
+// TestCollectStageCoverage: a collect's stage rows, the collect row
+// included, account for its Total — through Match (with the plan row) and
+// through MatchPlan, sequential and parallel. The best of a few runs is
+// taken so a stray GC pause between two stages cannot fail the check.
+func TestCollectStageCoverage(t *testing.T) {
+	ix, q, alpha := collectWorkload(t)
+	for _, par := range []int{1, 2} {
+		opt := core.Options{Alpha: alpha, Parallelism: par}
+		pl, err := core.Prepare(context.Background(), ix, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]func() (*core.Result, error){
+			"Match":     func() (*core.Result, error) { return core.Match(context.Background(), ix, q, opt) },
+			"MatchPlan": func() (*core.Result, error) { return core.MatchPlan(context.Background(), ix, pl, opt) },
+		}
+		for name, match := range runs {
+			best := 0.0
+			for try := 0; try < 5 && best < 0.95; try++ {
+				res, err := match()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				sum, collect := 0.0, false
+				for _, sg := range st.Stages {
+					sum += sg.Micros
+					collect = collect || sg.Name == "collect"
+				}
+				if !collect || st.CollectTime <= 0 {
+					t.Fatalf("%s P=%d: no collect stage in %+v", name, par, st.Stages)
+				}
+				total := plan.Micros(st.Total)
+				if sum > total {
+					t.Fatalf("%s P=%d: stages sum to %.1fµs, more than Total %.1fµs", name, par, sum, total)
+				}
+				best = max(best, sum/total)
+			}
+			if best < 0.95 {
+				t.Errorf("%s P=%d: stage rows cover %.1f%% of Total, want ≥ 95%%", name, par, 100*best)
+			}
+		}
 	}
 }

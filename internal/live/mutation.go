@@ -101,7 +101,9 @@ func (m *Mutation) encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeMutation parses one WAL record payload.
+// decodeMutation parses one WAL record payload. Element counts are bounded
+// by the payload size (every element takes at least one byte), so a corrupt
+// count cannot size an allocation beyond the record.
 func decodeMutation(payload []byte) (Mutation, error) {
 	r := binio.NewReader(bytes.NewReader(payload))
 	var m Mutation
@@ -109,7 +111,7 @@ func decodeMutation(payload []byte) (Mutation, error) {
 	case walAddRef:
 		m.Op = OpAddRef
 		n := r.U32()
-		if n > 1<<16 {
+		if n > 1<<16 || int(n) > len(payload) {
 			return m, fmt.Errorf("live: wal add-ref with %d labels", n)
 		}
 		m.Labels = make([]LabelP, n)
@@ -123,7 +125,7 @@ func decodeMutation(payload []byte) (Mutation, error) {
 		m.B = refgraph.RefID(r.U32())
 		m.P = r.F64()
 		n := r.U32()
-		if n > 1<<16 {
+		if n > 1<<16 || int(n) > len(payload) {
 			return m, fmt.Errorf("live: wal add-edge with %d CPT entries", n)
 		}
 		if n > 0 {
@@ -135,7 +137,7 @@ func decodeMutation(payload []byte) (Mutation, error) {
 	case walSetLinkage:
 		m.Op = OpSetLinkage
 		n := r.U32()
-		if n > 1<<16 {
+		if n > 1<<16 || int(n) > len(payload) {
 			return m, fmt.Errorf("live: wal set-linkage with %d members", n)
 		}
 		m.Members = make([]refgraph.RefID, n)

@@ -2,10 +2,16 @@ package live
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 )
+
+// ErrCorruptWAL marks a log that cannot be replayed at all (its header is
+// not a WAL header). A corrupt or torn record is not an error: replay stops
+// there and truncates the tail.
+var ErrCorruptWAL = errors.New("live: corrupt write-ahead log")
 
 // The write-ahead log is an append-only record log with the same framing
 // idiom as storage/hashdict: a 4-byte magic, then per record
@@ -69,7 +75,7 @@ func openWAL(path string) (*wal, []Mutation, error) {
 	hdr := make([]byte, len(walMagic))
 	if _, err := f.ReadAt(hdr, 0); err != nil || string(hdr) != walMagic {
 		f.Close()
-		return nil, nil, fmt.Errorf("live: wal: bad magic %q", hdr)
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCorruptWAL, hdr)
 	}
 	var (
 		muts []Mutation
@@ -141,6 +147,12 @@ func decodeBatch(payload []byte) ([]Mutation, error) {
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	payload = payload[4:]
+	// Every mutation takes at least a length prefix and a tag byte, so a
+	// count the payload cannot hold is corrupt — and must not size the
+	// allocation below.
+	if count > uint32(len(payload)/5) {
+		return nil, fmt.Errorf("live: wal batch of %d bytes cannot hold %d mutations", len(payload), count)
+	}
 	ms := make([]Mutation, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(payload) < 4 {

@@ -1,10 +1,11 @@
 package plan
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/candidates"
@@ -48,6 +49,19 @@ func NewExecutor(ix pathindex.Reader, calib *Calibration) *Executor {
 	return &Executor{ix: ix, calib: calib}
 }
 
+// run carries one execution's state from the pre-join stages to the join:
+// the stats accumulated so far, the reduced k-partite graph, the adaptive
+// join order and the resolved join width.
+type run struct {
+	start time.Time
+	st    Stats
+	g     *entity.Graph
+	kg    *kpartite.Graph
+	order []int
+	par   int
+	t0    time.Time // start of the join stage
+}
+
 // Run executes the plan in stages — candidate retrieval → k-partite build →
 // joint reduction → join — streaming matches into yield. Per-stage timings,
 // estimated vs. observed cardinalities, and prune counts land in Stats;
@@ -59,13 +73,104 @@ func NewExecutor(ix pathindex.Reader, calib *Calibration) *Executor {
 // enumeration (not an error); the semantics of Limit, Order, Parallelism,
 // and cancellation are exactly core.MatchStream's.
 func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.Match) bool) (Stats, error) {
-	start := time.Now()
-	st := Stats{
-		Plan:         pl.Tree,
-		NumPaths:     len(pl.Dec.Paths),
-		PlannedOrder: pl.Order,
+	r, err := e.prejoin(ctx, pl, opt)
+	if err != nil {
+		return r.st, err
 	}
-	g := e.ix.Graph()
+	switch {
+	case opt.Order == OrderByProb:
+		var tops []*topK
+		if tops, err = e.joinTopK(ctx, pl, opt, r); err == nil {
+			ms, truncated := mergeTopK(tops, opt.Limit)
+			r.st.Truncated = truncated
+			for _, m := range ms {
+				r.st.Matched++
+				if !yield(m) {
+					r.st.Truncated = true
+					break
+				}
+			}
+		}
+	case r.par > 1:
+		err = e.streamEmitParallel(ctx, pl, opt, r, yield)
+	default:
+		err = e.streamEmit(ctx, pl, opt, r, yield)
+	}
+	if err != nil {
+		return r.st, err
+	}
+	r.endJoin(r.st.Matched)
+	r.st.Total = time.Since(r.start)
+	return r.st, nil
+}
+
+// Collect executes the plan like Run but returns the whole result set
+// instead of streaming it, in the deterministic collect order: ascending
+// by CompareMatches for OrderEmit, best-first by probability for
+// OrderByProb. The parallel OrderEmit join yields into one collector per
+// worker instead of a shared channel; each worker's run is then sorted
+// concurrently and a single k-way merge writes the result, so the output is
+// identical to a sequential run sorted by CompareMatches. With Limit > 0
+// the workers claim result slots from a shared counter, so exactly Limit
+// matches (any Limit of the full set, sorted) are returned and Truncated is
+// set. The "collect" stage row times the concatenation, sort and merge.
+func (e *Executor) Collect(ctx context.Context, pl *Plan, opt Exec) ([]join.Match, Stats, error) {
+	r, err := e.prejoin(ctx, pl, opt)
+	if err != nil {
+		return nil, r.st, err
+	}
+	var ms []join.Match
+	if opt.Order == OrderByProb {
+		tops, err := e.joinTopK(ctx, pl, opt, r)
+		if err != nil {
+			return nil, r.st, err
+		}
+		kept := 0
+		for _, t := range tops {
+			kept += len(t.heap)
+		}
+		if opt.Limit > 0 {
+			kept = min(kept, opt.Limit)
+		}
+		r.endJoin(kept)
+		t0 := time.Now()
+		ms, r.st.Truncated = mergeTopK(tops, opt.Limit)
+		r.endCollect(t0, 1)
+	} else {
+		cols, err := e.joinCollect(ctx, pl, opt, r)
+		if err != nil {
+			return nil, r.st, err
+		}
+		found := 0
+		for i := range cols {
+			found += cols[i].total
+		}
+		r.endJoin(found)
+		t0 := time.Now()
+		var workers int
+		ms, workers = sortMerge(cols)
+		r.st.Truncated = opt.Limit > 0 && len(ms) >= opt.Limit
+		r.endCollect(t0, workers)
+	}
+	r.st.Matched = len(ms)
+	r.st.Total = time.Since(r.start)
+	return ms, r.st, nil
+}
+
+// prejoin runs the stages Run and Collect share: candidate retrieval,
+// k-partite build, joint reduction, and the adaptive join reorder. On error
+// the returned run still carries the stats of the stages that completed.
+func (e *Executor) prejoin(ctx context.Context, pl *Plan, opt Exec) (*run, error) {
+	r := &run{
+		start: time.Now(),
+		st: Stats{
+			Plan:         pl.Tree,
+			NumPaths:     len(pl.Dec.Paths),
+			PlannedOrder: pl.Order,
+		},
+		g: e.ix.Graph(),
+	}
+	st := &r.st
 	q := pl.Query
 	workers := opt.Workers
 	if workers <= 0 {
@@ -77,7 +182,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	t0 := time.Now()
 	sets, cstats, err := candidates.Find(ctx, e.ix, q, pl.Dec, pl.Alpha, workers, opt.CandCache)
 	if err != nil {
-		return st, err
+		return r, err
 	}
 	st.SSPath = cstats.SSPath
 	st.SSContext = cstats.SSContext
@@ -96,7 +201,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 		}
 	}
 	st.Stages = append(st.Stages, StageStats{
-		Name: "candidates", Micros: Micros(st.CandidateTime), StartMicros: Micros(t0.Sub(start)),
+		Name: "candidates", Micros: Micros(st.CandidateTime), StartMicros: Micros(t0.Sub(r.start)),
 		EstRows: estTotal, ObsRows: obsTotal, Pruned: pruned, Workers: workers,
 		CacheHits: cstats.CacheHits, CacheMisses: cstats.CacheMisses, CacheBypassed: cstats.CacheBypassed,
 	})
@@ -104,13 +209,14 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	// Join-candidates / k-partite graph (Section 5.2.3), pairs fanned out
 	// across the same pool.
 	t0 = time.Now()
-	kg, err := kpartite.Build(ctx, g, q, pl.Dec, sets, pl.Alpha, workers)
+	kg, err := kpartite.Build(ctx, r.g, q, pl.Dec, sets, pl.Alpha, workers)
 	if err != nil {
-		return st, err
+		return r, err
 	}
+	r.kg = kg
 	st.BuildTime = time.Since(t0)
 	st.Stages = append(st.Stages, StageStats{
-		Name: "build", Micros: Micros(st.BuildTime), StartMicros: Micros(t0.Sub(start)),
+		Name: "build", Micros: Micros(st.BuildTime), StartMicros: Micros(t0.Sub(r.start)),
 		ObsRows: float64(kg.NumLinks()), Workers: workers,
 	})
 
@@ -124,7 +230,7 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	if pl.Reduce {
 		rst, err := kg.Reduce(ctx, workers)
 		if err != nil {
-			return st, err
+			return r, err
 		}
 		st.SSAfterStructure = rst.SSAfterStructure
 		st.SSFinal = rst.SSAfterUpperbound
@@ -139,54 +245,54 @@ func (e *Executor) Run(ctx context.Context, pl *Plan, opt Exec, yield func(join.
 	}
 	st.ReduceTime = time.Since(t0)
 	st.Stages = append(st.Stages, StageStats{
-		Name: "reduce", Micros: Micros(st.ReduceTime), StartMicros: Micros(t0.Sub(start)),
+		Name: "reduce", Micros: Micros(st.ReduceTime), StartMicros: Micros(t0.Sub(r.start)),
 		EstRows: ssBefore, ObsRows: st.SSFinal, Pruned: int64(before - after),
 	})
 
 	// Adaptive join reorder: rerun the plan's order heuristic with the
 	// observed alive counts in place of the histogram estimates. The match
 	// set is order-invariant, so this is purely a cost move — and it uses
-	// real numbers where planning had only estimates.
+	// real numbers where planning had only estimates. It is timed as part
+	// of the join stage.
+	r.t0 = time.Now()
 	obsCards := make([]float64, kg.NumPartitions())
 	for p := range obsCards {
 		obsCards[p] = float64(kg.AliveCount(p))
 	}
-	order := join.OrderWithCards(pl.Dec, pl.OrderMode, obsCards)
-	st.ExecOrder = order
+	r.order = join.OrderWithCards(pl.Dec, pl.OrderMode, obsCards)
+	st.ExecOrder = r.order
+	r.par = opt.Parallelism
+	if r.par == 0 {
+		r.par = runtime.GOMAXPROCS(0)
+	}
+	return r, nil
+}
 
-	// Final match generation (Section 5.2.5), streamed.
-	t0 = time.Now()
-	par := opt.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case opt.Order == OrderByProb && par > 1:
-		err = e.streamTopKParallel(ctx, g, kg, pl, order, opt, par, yield, &st)
-	case opt.Order == OrderByProb:
-		err = e.streamTopK(ctx, g, kg, pl, order, opt, yield, &st)
-	case par > 1:
-		err = e.streamEmitParallel(ctx, g, kg, pl, order, opt, par, yield, &st)
-	default:
-		err = e.streamEmit(ctx, g, kg, pl, order, opt, yield, &st)
-	}
-	if err != nil {
-		return st, err
-	}
-	st.JoinTime = time.Since(t0)
-	st.Stages = append(st.Stages, StageStats{
-		Name: "join", Micros: Micros(st.JoinTime), StartMicros: Micros(t0.Sub(start)),
-		EstRows: st.SSFinal, ObsRows: float64(st.Matched),
+// endJoin closes the join stage (Section 5.2.5, final match generation),
+// which produced the given number of result matches.
+func (r *run) endJoin(matched int) {
+	r.st.JoinTime = time.Since(r.t0)
+	r.st.Stages = append(r.st.Stages, StageStats{
+		Name: "join", Micros: Micros(r.st.JoinTime), StartMicros: Micros(r.t0.Sub(r.start)),
+		EstRows: r.st.SSFinal, ObsRows: float64(matched),
 	})
-	st.Total = time.Since(start)
-	return st, nil
+}
+
+// endCollect records the collect stage that began at t0.
+func (r *run) endCollect(t0 time.Time, workers int) {
+	r.st.CollectTime = time.Since(t0)
+	r.st.Stages = append(r.st.Stages, StageStats{
+		Name: "collect", Micros: Micros(r.st.CollectTime), StartMicros: Micros(t0.Sub(r.start)),
+		Workers: workers,
+	})
 }
 
 // streamEmit drives the join enumeration straight into yield, stopping the
 // enumeration (not just the emission) when Limit is reached or the consumer
 // returns false.
-func (e *Executor) streamEmit(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, yield func(join.Match) bool, st *Stats) error {
-	return join.FindMatchesFunc(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, func(m join.Match) bool {
+func (e *Executor) streamEmit(ctx context.Context, pl *Plan, opt Exec, r *run, yield func(join.Match) bool) error {
+	st := &r.st
+	return join.FindMatchesFunc(ctx, r.g, pl.Query, pl.Dec, r.kg, r.order, pl.Alpha, func(m join.Match) bool {
 		st.Matched++
 		if !yield(m) {
 			st.Truncated = true
@@ -200,43 +306,21 @@ func (e *Executor) streamEmit(ctx context.Context, g *entity.Graph, kg *kpartite
 	})
 }
 
-// streamTopK runs the join to completion, retaining the Limit best matches
-// under probability order in a bounded min-heap, then emits them in
-// decreasing probability. With Limit == 0 every match is retained and
-// sorted.
-func (e *Executor) streamTopK(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, yield func(join.Match) bool, st *Stats) error {
-	top := newTopK(opt.Limit)
-	err := join.FindMatchesFunc(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, func(m join.Match) bool {
-		top.offer(m)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	st.Truncated = top.dropped > 0
-	for _, m := range top.sorted() {
-		st.Matched++
-		if !yield(m) {
-			st.Truncated = true
-			break
-		}
-	}
-	return nil
-}
-
 // streamEmitParallel fans the per-worker match streams into one channel so
 // the caller's yield keeps its serial contract: the morsel workers enumerate
 // concurrently, the consumer (this goroutine) emits. Limit or a false yield
 // closes the stop channel, which unblocks every producer send and stops all
-// workers promptly.
-func (e *Executor) streamEmitParallel(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, par int, yield func(join.Match) bool, st *Stats) error {
-	ch := make(chan join.Match, 4*par)
+// workers promptly. Collect does not come through here: it gives every
+// worker its own collector instead.
+func (e *Executor) streamEmitParallel(ctx context.Context, pl *Plan, opt Exec, r *run, yield func(join.Match) bool) error {
+	st := &r.st
+	ch := make(chan join.Match, 4*r.par)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	var jerr error
 	go func() {
 		defer close(done)
-		jerr = join.FindMatchesParallel(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, par, func(_ int, m join.Match) bool {
+		jerr = join.FindMatchesParallel(ctx, r.g, pl.Query, pl.Dec, r.kg, r.order, pl.Alpha, r.par, func(_ int, m join.Match) bool {
 			select {
 			case ch <- m:
 				return true
@@ -271,67 +355,55 @@ func (e *Executor) streamEmitParallel(ctx context.Context, g *entity.Graph, kg *
 	return jerr
 }
 
-// streamTopKParallel runs the parallel join to completion with one bounded
-// min-heap per worker — no cross-worker synchronization on the hot path —
-// then merges the per-worker heaps and emits the global top-Limit in
-// decreasing probability. Because the enumeration is exhaustive and
-// betterMatch is a total order, the output is byte-identical to the
-// sequential OrderByProb stream.
-func (e *Executor) streamTopKParallel(ctx context.Context, g *entity.Graph, kg *kpartite.Graph, pl *Plan, order []int, opt Exec, par int, yield func(join.Match) bool, st *Stats) error {
-	tops := make([]*topK, par)
+// joinTopK runs the join to completion with one bounded min-heap per
+// worker — no cross-worker synchronization on the hot path. At width 1 the
+// join is the sequential enumeration into a single heap.
+func (e *Executor) joinTopK(ctx context.Context, pl *Plan, opt Exec, r *run) ([]*topK, error) {
+	tops := make([]*topK, r.par)
 	for i := range tops {
 		tops[i] = newTopK(opt.Limit)
 	}
-	err := join.FindMatchesParallel(ctx, g, pl.Query, pl.Dec, kg, order, pl.Alpha, par, func(w int, m join.Match) bool {
+	err := join.FindMatchesParallel(ctx, r.g, pl.Query, pl.Dec, r.kg, r.order, pl.Alpha, r.par, func(w int, m join.Match) bool {
 		tops[w].offer(m)
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	merged := newTopK(opt.Limit)
-	offered := 0
-	for _, t := range tops {
-		offered += len(t.heap) + t.dropped
-		for _, m := range t.heap {
-			merged.offer(m)
-		}
-	}
-	st.Truncated = opt.Limit > 0 && offered > opt.Limit
-	for _, m := range merged.sorted() {
-		st.Matched++
-		if !yield(m) {
-			st.Truncated = true
-			break
-		}
-	}
-	return nil
+	return tops, err
 }
 
-// betterMatch is the probability total order used by OrderByProb: higher
+// mergeTopK merges per-worker heaps into the global top-limit, best-first,
+// and reports whether matches beyond it were discarded. Because the
+// enumeration is exhaustive and betterMatch is a total order, the result is
+// the same at every join width.
+func mergeTopK(tops []*topK, limit int) ([]join.Match, bool) {
+	merged := tops[0]
+	offered := len(merged.heap) + merged.dropped
+	if len(tops) > 1 {
+		merged = newTopK(limit)
+		offered = 0
+		for _, t := range tops {
+			offered += len(t.heap) + t.dropped
+			for _, m := range t.heap {
+				merged.offer(m)
+			}
+		}
+	}
+	return merged.sorted(), limit > 0 && offered > limit
+}
+
+// compareByProb is the probability total order used by OrderByProb: higher
 // Pr first, equal probabilities broken by mapping so the ranking — and in
 // particular the top-K cut — is fully deterministic.
-func betterMatch(a, b join.Match) bool {
-	pa, pb := a.Pr(), b.Pr()
-	if pa != pb {
-		return pa > pb
+func compareByProb(a, b join.Match) int {
+	if c := cmp.Compare(b.Pr(), a.Pr()); c != 0 {
+		return c
 	}
-	return mappingLess(a.Mapping, b.Mapping)
+	return slices.Compare(a.Mapping, b.Mapping)
 }
 
-func mappingLess(a, b []entity.ID) bool {
-	for k := range a {
-		if k >= len(b) {
-			return false
-		}
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return false
-}
+// betterMatch reports whether a ranks strictly before b under compareByProb.
+func betterMatch(a, b join.Match) bool { return compareByProb(a, b) < 0 }
 
-// topK retains the best matches under betterMatch. With limit > 0 it is a
+// topK retains the best matches under compareByProb. With limit > 0 it is a
 // bounded min-heap whose root is the worst retained match (O(limit) memory,
 // O(log limit) per offer); with limit == 0 it keeps everything.
 type topK struct {
@@ -363,11 +435,11 @@ func (t *topK) offer(m join.Match) {
 func (t *topK) sorted() []join.Match {
 	ms := []join.Match(t.heap)
 	t.heap = nil
-	sort.Slice(ms, func(i, j int) bool { return betterMatch(ms[i], ms[j]) })
+	slices.SortFunc(ms, compareByProb)
 	return ms
 }
 
-// matchHeap is a min-heap under betterMatch: the root is the worst retained
+// matchHeap is a min-heap under compareByProb: the root is the worst retained
 // match, which a better offer evicts.
 type matchHeap []join.Match
 
@@ -377,18 +449,18 @@ func (h matchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *matchHeap) Push(x any)        { *h = append(*h, x.(join.Match)) }
 func (h *matchHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// SortMatches orders matches by mapping for deterministic output, with a
-// final probability tie-break so even elementwise-equal mappings (which
-// would otherwise fall through to unstable slice order) sort the same way
-// across runs.
+// SortMatches orders matches by CompareMatches for deterministic output.
 func SortMatches(ms []join.Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		for k := range a.Mapping {
-			if a.Mapping[k] != b.Mapping[k] {
-				return a.Mapping[k] < b.Mapping[k]
-			}
-		}
-		return a.Pr() > b.Pr()
-	})
+	slices.SortFunc(ms, CompareMatches)
+}
+
+// CompareMatches is the collect total order: mappings ascending
+// lexicographically, then probability descending, so even elementwise-equal
+// mappings sort the same way across runs. Collect's per-worker sort and its
+// merge share it, and the router's cluster merge mirrors it.
+func CompareMatches(a, b join.Match) int {
+	if c := slices.Compare(a.Mapping, b.Mapping); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Pr(), a.Pr())
 }

@@ -155,7 +155,8 @@ type Alternative struct {
 // StageStats is one executed stage's record: wall clock plus the estimated
 // vs. observed row counts and how much the stage pruned.
 type StageStats struct {
-	// Name is "plan", "candidates", "build", "reduce", or "join".
+	// Name is "plan", "candidates", "build", "reduce", "join", or
+	// "collect".
 	Name string `json:"name"`
 	// Micros is the stage wall clock in microseconds, with nanosecond
 	// precision preserved in the fraction: a 300ns stage reports 0.3, not 0.
@@ -208,12 +209,15 @@ type Stats struct {
 	// costing). Zero when the run executed a cached plan — planning was
 	// skipped entirely.
 	PlanTime time.Duration
-	// Per-stage wall clock.
+	// Per-stage wall clock. CollectTime is the collect stage of a
+	// collect-all run (splicing, sorting and merging the result set); a
+	// streamed run has none.
 	DecomposeTime time.Duration
 	CandidateTime time.Duration
 	BuildTime     time.Duration
 	ReduceTime    time.Duration
 	JoinTime      time.Duration
+	CollectTime   time.Duration
 	Total         time.Duration
 	// Plan is the executed plan's tree — the same tree EXPLAIN returns for
 	// the query (and, through the server's plan cache, the same value).

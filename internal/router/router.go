@@ -630,8 +630,8 @@ func (r *Router) translate(s int, e *server.MatchEntry) error {
 
 // emitLess is the collect total order — mapping-lexicographic ascending,
 // probability descending on equal mappings — exactly core.Match's
-// plan.SortMatches order, so the merged collect answer is byte-identical to
-// the single-node answer.
+// plan.CompareMatches order, so the merged collect answer is byte-identical
+// to the single-node answer.
 func emitLess(a, b *server.MatchEntry) bool {
 	for k := range a.Mapping {
 		if k >= len(b.Mapping) {
@@ -683,6 +683,7 @@ func addStats(dst, src *server.MatchStats) {
 	dst.CandidateMicros += src.CandidateMicros
 	dst.ReduceMicros += src.ReduceMicros
 	dst.JoinMicros += src.JoinMicros
+	dst.CollectMicros += src.CollectMicros
 }
 
 // MatchResponse is the router's answer to POST /match: the single-node

@@ -207,7 +207,8 @@ func TraceCollectors(stats func() trace.Stats) []metrics.Collector {
 
 // observeStages feeds one fresh (non-cached) execution's stage timings into
 // the stage histograms. Plan and decompose are zero on a plan-cache hit —
-// those stages did not run, so they are not observed.
+// those stages did not run, so they are not observed; neither is collect
+// for a stream.
 func (m *serverMetrics) observeStages(st *MatchStats) {
 	if st.PlanMicros > 0 {
 		m.stages.WithLabelValue("plan").Observe(st.PlanMicros / 1e6)
@@ -218,6 +219,9 @@ func (m *serverMetrics) observeStages(st *MatchStats) {
 	m.stages.WithLabelValue("candidates").Observe(st.CandidateMicros / 1e6)
 	m.stages.WithLabelValue("reduce").Observe(st.ReduceMicros / 1e6)
 	m.stages.WithLabelValue("join").Observe(st.JoinMicros / 1e6)
+	if st.CollectMicros > 0 {
+		m.stages.WithLabelValue("collect").Observe(st.CollectMicros / 1e6)
+	}
 	m.stages.WithLabelValue("total").Observe(st.TotalMicros / 1e6)
 }
 

@@ -351,6 +351,11 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		}
 	}
 
+	// /match collects, so its collect stage is observed beside the others.
+	if values[`peg_stage_duration_seconds_count{stage="collect"}`] <= 0 {
+		t.Error("peg_stage_duration_seconds has no collect observations after /match requests")
+	}
+
 	// The live server builds its base index with default options, i.e. the
 	// packed v2 layout, and the matches above probed it.
 	if values[`peg_index_format_info{format="v2"}`] != 1 {

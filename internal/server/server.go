@@ -463,6 +463,9 @@ type MatchStats struct {
 	CandidateMicros float64 `json:"candidates_us"`
 	ReduceMicros    float64 `json:"reduce_us"`
 	JoinMicros      float64 `json:"join_us"`
+	// CollectMicros is the collect stage (sorting and merging the result
+	// set) of a /match evaluation; streams have none.
+	CollectMicros float64 `json:"collect_us,omitempty"`
 
 	Plan         *plan.Tree        `json:"plan,omitempty"`
 	Stages       []plan.StageStats `json:"stages,omitempty"`
@@ -1504,6 +1507,7 @@ func statsJSON(st core.Stats) *MatchStats {
 		CandidateMicros: plan.Micros(st.CandidateTime),
 		ReduceMicros:    plan.Micros(st.ReduceTime),
 		JoinMicros:      plan.Micros(st.JoinTime),
+		CollectMicros:   plan.Micros(st.CollectTime),
 		Plan:            st.Plan,
 		Stages:          st.Stages,
 		PlannedOrder:    st.PlannedOrder,

@@ -86,7 +86,15 @@ func TestMatchEndpoint(t *testing.T) {
 		t.Error("first request reported cached")
 	}
 	if res.Stats == nil {
-		t.Error("missing stats")
+		t.Fatal("missing stats")
+	}
+	// A /match answer is collected, so its stage rows end with the collect
+	// row (the sort of the result set), which the total includes.
+	if n := len(res.Stats.Stages); n == 0 || res.Stats.Stages[n-1].Name != "collect" {
+		t.Errorf("stage rows %+v do not end with collect", res.Stats.Stages)
+	}
+	if res.Stats.CollectMicros <= 0 || res.Stats.CollectMicros > res.Stats.TotalMicros {
+		t.Errorf("collect_us = %v, total_us = %v", res.Stats.CollectMicros, res.Stats.TotalMicros)
 	}
 }
 
