@@ -14,13 +14,14 @@ import (
 )
 
 // TestFormatEquivalenceEndToEnd is the acceptance property for the packed
-// index format through the whole online phase: over seeded gen.Synthetic
-// PGDs, core.Match against a packed (v2) index and against a B+-tree (v1)
-// index of the same parameters must return the same matches with
-// bitwise-identical probabilities, across both decomposition strategies
-// (the cost-based SET COVER planner and random decomposition). The index
-// is the only variable — same graph, same query, same seeds — so any
-// divergence is a format bug, not planner nondeterminism.
+// index file through the whole online phase: over seeded gen.Synthetic
+// PGDs, core.Match against the index Build returned and against the same
+// directory reopened — options, context tables and postings all read back
+// from packed.idx — must return the same matches with bitwise-identical
+// probabilities, across both decomposition strategies (the cost-based SET
+// COVER planner and random decomposition). The handle is the only variable
+// — same graph, same query, same seeds — so any divergence is a bug in what
+// the file persists, not planner nondeterminism.
 func TestFormatEquivalenceEndToEnd(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -39,19 +40,19 @@ func TestFormatEquivalenceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
-		build := func(f pathindex.Format) *pathindex.Index {
-			ix, err := pathindex.Build(context.Background(), g, pathindex.Options{
-				MaxLen: 2, Beta: 0.05, Gamma: 0.1,
-				Dir: filepath.Join(t.TempDir(), "ix"), Format: f,
-			})
-			if err != nil {
-				t.Fatalf("seed %d: Build %v: %v", seed, f, err)
-			}
-			t.Cleanup(func() { ix.Close() })
-			return ix
+		dir := filepath.Join(t.TempDir(), "ix")
+		built, err := pathindex.Build(context.Background(), g, pathindex.Options{
+			MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: pathindex.Build: %v", seed, err)
 		}
-		packed := build(pathindex.FormatPacked)
-		tree := build(pathindex.FormatBTree)
+		t.Cleanup(func() { built.Close() })
+		reopened, err := pathindex.Open(dir, g)
+		if err != nil {
+			t.Fatalf("seed %d: Open: %v", seed, err)
+		}
+		t.Cleanup(func() { reopened.Close() })
 
 		rng := rand.New(rand.NewSource(seed * 101))
 		for qi := 0; qi < 4; qi++ {
@@ -65,33 +66,33 @@ func TestFormatEquivalenceEndToEnd(t *testing.T) {
 						return core.Options{Alpha: alpha, Strategy: s,
 							Rand: rand.New(rand.NewSource(seed ^ int64(qi)))}
 					}
-					rp, err := core.Match(context.Background(), packed, q, opts())
+					rb, err := core.Match(context.Background(), built, q, opts())
 					if err != nil {
-						t.Fatalf("seed %d q%d %v α=%v packed: %v", seed, qi, s, alpha, err)
+						t.Fatalf("seed %d q%d %v α=%v built: %v", seed, qi, s, alpha, err)
 					}
-					rt, err := core.Match(context.Background(), tree, q, opts())
+					rr, err := core.Match(context.Background(), reopened, q, opts())
 					if err != nil {
-						t.Fatalf("seed %d q%d %v α=%v btree: %v", seed, qi, s, alpha, err)
+						t.Fatalf("seed %d q%d %v α=%v reopened: %v", seed, qi, s, alpha, err)
 					}
-					if len(rp.Matches) != len(rt.Matches) {
+					if len(rb.Matches) != len(rr.Matches) {
 						t.Fatalf("seed %d q%d %v α=%v: %d vs %d matches\nquery:\n%s",
-							seed, qi, s, alpha, len(rp.Matches), len(rt.Matches), q.Format(g.Alphabet()))
+							seed, qi, s, alpha, len(rb.Matches), len(rr.Matches), q.Format(g.Alphabet()))
 					}
 					// Same seeds and inputs make the match order
 					// deterministic, so compare positionally and bitwise.
-					for i := range rp.Matches {
-						mp, mt := rp.Matches[i], rt.Matches[i]
-						if len(mp.Mapping) != len(mt.Mapping) {
+					for i := range rb.Matches {
+						mb, mr := rb.Matches[i], rr.Matches[i]
+						if len(mb.Mapping) != len(mr.Mapping) {
 							t.Fatalf("seed %d q%d %v α=%v match %d: mapping size", seed, qi, s, alpha, i)
 						}
-						for j := range mp.Mapping {
-							if mp.Mapping[j] != mt.Mapping[j] {
+						for j := range mb.Mapping {
+							if mb.Mapping[j] != mr.Mapping[j] {
 								t.Fatalf("seed %d q%d %v α=%v match %d: mapping differs", seed, qi, s, alpha, i)
 							}
 						}
-						if math.Float64bits(mp.Pr()) != math.Float64bits(mt.Pr()) {
+						if math.Float64bits(mb.Pr()) != math.Float64bits(mr.Pr()) {
 							t.Fatalf("seed %d q%d %v α=%v match %d: Pr %v vs %v",
-								seed, qi, s, alpha, i, mp.Pr(), mt.Pr())
+								seed, qi, s, alpha, i, mb.Pr(), mr.Pr())
 						}
 					}
 				}

@@ -426,46 +426,63 @@ func TestParallelCollectCancellation(t *testing.T) {
 	}
 }
 
-// TestCollectStageCoverage: a collect's stage rows, the collect row
-// included, account for its Total — through Match (with the plan row) and
-// through MatchPlan, sequential and parallel. The best of a few runs is
-// taken so a stray GC pause between two stages cannot fail the check.
+// TestCollectStageCoverage: a run's stage rows account for its Total —
+// through Match (with the plan row), MatchPlan, MatchStream and a Limit: 1
+// collect, sequential and parallel. Every collect also carries its collect
+// row. The best of a few runs is taken so a stray GC pause between two
+// stages cannot fail the check.
 func TestCollectStageCoverage(t *testing.T) {
 	ix, q, alpha := collectWorkload(t)
+	ctx := context.Background()
 	for _, par := range []int{1, 2} {
 		opt := core.Options{Alpha: alpha, Parallelism: par}
-		pl, err := core.Prepare(context.Background(), ix, q, opt)
+		limit1 := opt
+		limit1.Limit = 1
+		pl, err := core.Prepare(ctx, ix, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := map[string]func() (*core.Result, error){
-			"Match":     func() (*core.Result, error) { return core.Match(context.Background(), ix, q, opt) },
-			"MatchPlan": func() (*core.Result, error) { return core.MatchPlan(context.Background(), ix, pl, opt) },
+		collect := func(res *core.Result, err error) (core.Stats, error) {
+			if err != nil {
+				return core.Stats{}, err
+			}
+			return res.Stats, nil
 		}
-		for name, match := range runs {
+		runs := []struct {
+			name    string
+			collect bool // a collect reports a collect row
+			run     func() (core.Stats, error)
+		}{
+			{"Match", true, func() (core.Stats, error) { return collect(core.Match(ctx, ix, q, opt)) }},
+			{"MatchPlan", true, func() (core.Stats, error) { return collect(core.MatchPlan(ctx, ix, pl, opt)) }},
+			{"MatchStream", false, func() (core.Stats, error) {
+				return core.MatchStream(ctx, ix, q, opt, func(join.Match) bool { return true })
+			}},
+			{"Limit1", true, func() (core.Stats, error) { return collect(core.Match(ctx, ix, q, limit1)) }},
+		}
+		for _, r := range runs {
 			best := 0.0
 			for try := 0; try < 5 && best < 0.95; try++ {
-				res, err := match()
+				st, err := r.run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := res.Stats
-				sum, collect := 0.0, false
+				sum, hasCollect := 0.0, false
 				for _, sg := range st.Stages {
 					sum += sg.Micros
-					collect = collect || sg.Name == "collect"
+					hasCollect = hasCollect || sg.Name == "collect"
 				}
-				if !collect || st.CollectTime <= 0 {
-					t.Fatalf("%s P=%d: no collect stage in %+v", name, par, st.Stages)
+				if r.collect && (!hasCollect || st.CollectTime <= 0) {
+					t.Fatalf("%s P=%d: no collect stage in %+v", r.name, par, st.Stages)
 				}
 				total := plan.Micros(st.Total)
 				if sum > total {
-					t.Fatalf("%s P=%d: stages sum to %.1fµs, more than Total %.1fµs", name, par, sum, total)
+					t.Fatalf("%s P=%d: stages sum to %.1fµs, more than Total %.1fµs", r.name, par, sum, total)
 				}
 				best = max(best, sum/total)
 			}
 			if best < 0.95 {
-				t.Errorf("%s P=%d: stage rows cover %.1f%% of Total, want ≥ 95%%", name, par, 100*best)
+				t.Errorf("%s P=%d: stage rows cover %.1f%% of Total, want ≥ 95%%", r.name, par, 100*best)
 			}
 		}
 	}

@@ -587,3 +587,32 @@ func BenchmarkServeDuringIngest(b *testing.B) {
 	b.ReportMetric(float64(st.Compactions), "compactions")
 	b.ReportMetric(float64(writes.Load()), "writes")
 }
+
+// TestViewStatsBytesIsIndexFile: a generation directory holds the PGD
+// snapshot next to packed.idx, and a view's Stats().Bytes reports the index
+// file alone — at create and after reopen.
+func TestViewStatsBytesIsIndexFile(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(context.Background(), dir, basePGD(t, 3), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, "gen-000001", "packed.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.View().Stats().Bytes; got != fi.Size() {
+		t.Errorf("created view Bytes = %d, packed.idx is %d", got, fi.Size())
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.View().Stats().Bytes; got != fi.Size() {
+		t.Errorf("reopened view Bytes = %d, packed.idx is %d", got, fi.Size())
+	}
+}

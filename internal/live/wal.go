@@ -13,9 +13,9 @@ import (
 // there and truncates the tail.
 var ErrCorruptWAL = errors.New("live: corrupt write-ahead log")
 
-// The write-ahead log is an append-only record log with the same framing
-// idiom as storage/hashdict: a 4-byte magic, then per record
-// crc32(payload) ‖ len(payload) ‖ payload. One record carries one whole
+// The write-ahead log is an append-only record log framed by CRC: a 4-byte
+// magic, then per record crc32(payload) ‖ len(payload) ‖ payload, so a torn
+// or bit-flipped record fails its checksum. One record carries one whole
 // mutation batch (a count followed by length-prefixed mutations), so the
 // unit of durability equals the unit of acknowledgment: replay loads
 // records until EOF or the first corrupt record and truncates the torn

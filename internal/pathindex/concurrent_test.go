@@ -14,9 +14,8 @@ import (
 // TestConcurrentLookups hammers one shared index from many goroutines with
 // mixed Lookup (indexed and on-demand α) and Cardinality calls, asserting
 // every concurrent result equals the sequential baseline. Run under -race
-// this proves the de-serialized read path — sharded pager pool, B+ tree
-// scans, dictionary and histogram reads — is actually safe. The tiny page
-// cache forces constant eviction and re-admission churn through the shards.
+// this proves the lock-free read path — key-table search, posting decode
+// and bucket-count reads over one shared mapping — is actually safe.
 func TestConcurrentLookups(t *testing.T) {
 	d, err := gen.Synthetic(gen.SynthOptions{Refs: 80, EdgeFactor: 2, Labels: 4, Seed: 7})
 	if err != nil {
@@ -28,7 +27,7 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 	dir := t.TempDir()
 	built, err := Build(context.Background(), g, Options{
-		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, CachePages: 8,
+		MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,73 +2,16 @@ package pathindex
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// Failure injection: every artifact of the v1 index directory must be
-// validated on Open, and corruption must surface as an error rather than
-// bad query results. Pinned to FormatBTree: these are the v1 artifact
-// files (packed-format corruption is covered by TestOpenCorruptPacked and
-// packedix's own fuzz target).
-func TestOpenCorruptArtifacts(t *testing.T) {
-	g := motivating(t)
-	build := func(t *testing.T) string {
-		dir := filepath.Join(t.TempDir(), "ix")
-		ix, err := Build(context.Background(), g, Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, Format: FormatBTree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T, dir string)
-	}{
-		{"missing-meta", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileMeta))
-		}},
-		{"garbage-meta", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileMeta), []byte("{not json"), 0o644)
-		}},
-		{"missing-pages", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, filePages))
-		}},
-		{"truncated-pages", func(t *testing.T, dir string) {
-			os.Truncate(filepath.Join(dir, filePages), 10)
-		}},
-		{"missing-context", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileContext))
-		}},
-		{"garbage-context", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileContext), []byte("XXXXXXXXXXXX"), 0o644)
-		}},
-		{"missing-hist", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, fileHist))
-		}},
-		{"garbage-dict", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, fileDict), []byte("BAD!data"), 0o644)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := build(t)
-			tc.corrupt(t, dir)
-			if ix, err := Open(dir, g); err == nil {
-				ix.Close()
-				t.Error("corrupt index opened without error")
-			}
-		})
-	}
-}
-
-// TestOpenCorruptPacked is the v2 counterpart: a damaged packed.idx must
-// fail Open (or a later probe) with an error, never serve bad results.
+// TestOpenCorruptPacked: a damaged or missing packed.idx must fail Open
+// (or a later probe) with an error, never serve bad results. A directory
+// without packed.idx — the shape a B+-tree-era index directory presents —
+// fails with an error wrapping os.ErrNotExist.
 func TestOpenCorruptPacked(t *testing.T) {
 	g := motivating(t)
 	build := func(t *testing.T) string {
@@ -85,17 +28,23 @@ func TestOpenCorruptPacked(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, path string)
+		wantErr error // if non-nil, Open's error must wrap it
 	}{
+		{"missing", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}, os.ErrNotExist},
 		{"truncated", func(t *testing.T, path string) {
 			st, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			os.Truncate(path, st.Size()/2)
-		}},
+		}, nil},
 		{"garbage", func(t *testing.T, path string) {
 			os.WriteFile(path, []byte("PEGXnot really an index"), 0o644)
-		}},
+		}, nil},
 		{"bad-magic", func(t *testing.T, path string) {
 			b, err := os.ReadFile(path)
 			if err != nil {
@@ -103,15 +52,19 @@ func TestOpenCorruptPacked(t *testing.T) {
 			}
 			b[0] = 'Z'
 			os.WriteFile(path, b, 0o644)
-		}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := build(t)
 			tc.corrupt(t, filepath.Join(dir, "packed.idx"))
-			if ix, err := Open(dir, g); err == nil {
+			ix, err := Open(dir, g)
+			if err == nil {
 				ix.Close()
-				t.Error("corrupt packed index opened without error")
+				t.Fatal("corrupt packed index opened without error")
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Errorf("Open error %v does not wrap %v", err, tc.wantErr)
 			}
 		})
 	}

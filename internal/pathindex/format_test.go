@@ -1,15 +1,11 @@
 package pathindex
 
 import (
-	"context"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/entity"
-	"repro/internal/gen"
 	"repro/internal/prob"
 )
 
@@ -70,136 +66,21 @@ func assertReadersBitwiseEqual(t *testing.T, a, b *Index, g *entity.Graph) {
 	}
 }
 
-func syntheticGraph(t *testing.T, seed int64) *entity.Graph {
-	t.Helper()
-	d, err := gen.Synthetic(gen.SynthOptions{
-		Refs: 40, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
-		Groups: 3, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
-	})
-	if err != nil {
-		t.Fatalf("Synthetic: %v", err)
-	}
-	g, err := entity.Build(d, entity.BuildOptions{})
-	if err != nil {
-		t.Fatalf("entity.Build: %v", err)
-	}
-	return g
-}
-
-// TestFormatEquivalence is the cross-format property: a packed (v2) build
-// and a B+-tree (v1) build over the same graph and parameters are
-// indistinguishable through the Reader interface, bit for bit.
+// TestFormatEquivalence: packed.idx is the index's only persistent form,
+// so an index reopened from its directory must be indistinguishable, bit
+// for bit, from the handle Build returned — which answers context queries
+// from the tables ComputeContext produced in memory, not from the file.
 func TestFormatEquivalence(t *testing.T) {
 	t.Run("motivating", func(t *testing.T) {
 		g := motivating(t)
-		opt := Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1}
-		packed := buildIndex(t, g, opt)
-		opt.Format = FormatBTree
-		tree := buildIndex(t, g, opt)
-		if packed.Format() != FormatPacked || tree.Format() != FormatBTree {
-			t.Fatalf("formats: %v / %v", packed.Format(), tree.Format())
-		}
-		assertReadersBitwiseEqual(t, tree, packed, g)
+		built, reopened := buildAndReopen(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
+		assertReadersBitwiseEqual(t, built, reopened, g)
 	})
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run("synthetic", func(t *testing.T) {
 			g := syntheticGraph(t, seed)
-			opt := Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1}
-			packed := buildIndex(t, g, opt)
-			opt.Format = FormatBTree
-			tree := buildIndex(t, g, opt)
-			assertReadersBitwiseEqual(t, tree, packed, g)
+			built, reopened := buildAndReopen(t, g, Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1})
+			assertReadersBitwiseEqual(t, built, reopened, g)
 		})
-	}
-}
-
-// TestRepackRoundTrip migrates a v1 directory in place and asserts the
-// repacked index is bitwise-equivalent to the original — Lookup, Context,
-// and Cardinality all answer identically.
-func TestRepackRoundTrip(t *testing.T) {
-	g := syntheticGraph(t, 9)
-	dir := filepath.Join(t.TempDir(), "ix")
-	opt := Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1, Dir: dir, Format: FormatBTree}
-	v1, err := Build(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v1.Close() })
-
-	stats, err := Repack(dir, g)
-	if err != nil {
-		t.Fatalf("Repack: %v", err)
-	}
-	if stats.Entries != v1.Stats().Entries {
-		t.Fatalf("repack entries %d, v1 has %d", stats.Entries, v1.Stats().Entries)
-	}
-	if stats.Bytes == 0 {
-		t.Fatal("repack reported 0 bytes")
-	}
-
-	// Open now prefers the packed file it finds in the directory.
-	v2, err := Open(dir, g)
-	if err != nil {
-		t.Fatalf("Open repacked: %v", err)
-	}
-	t.Cleanup(func() { v2.Close() })
-	if v2.Format() != FormatPacked {
-		t.Fatalf("repacked dir opened as %v", v2.Format())
-	}
-	assertReadersBitwiseEqual(t, v1, v2, g)
-
-	// A second repack must refuse rather than clobber.
-	if _, err := Repack(dir, g); err == nil {
-		t.Fatal("second Repack succeeded")
-	}
-	// The v1 artifacts were left for rollback: removing packed.idx falls
-	// back to the B+-tree open path.
-	if err := os.Remove(filepath.Join(dir, "packed.idx")); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Open(dir, g)
-	if err != nil {
-		t.Fatalf("rollback open: %v", err)
-	}
-	defer back.Close()
-	if back.Format() != FormatBTree {
-		t.Fatalf("rollback opened as %v", back.Format())
-	}
-}
-
-// TestIndexMetrics covers the read-path counters both formats export.
-func TestIndexMetrics(t *testing.T) {
-	g := motivating(t)
-	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
-	var observed int
-	ix.SetPostingObserver(func(micros float64) {
-		if micros < 0 {
-			t.Errorf("negative decode time %v", micros)
-		}
-		observed++
-	})
-	alpha := g.Alphabet()
-	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	m := ix.IndexMetrics()
-	if m.Format != "v2" {
-		t.Fatalf("format %q", m.Format)
-	}
-	if m.Probes != 1 {
-		t.Fatalf("probes %d", m.Probes)
-	}
-	if m.MappedBytes == 0 {
-		t.Fatal("mapped bytes 0")
-	}
-	if observed != 1 {
-		t.Fatalf("observer fired %d times", observed)
-	}
-	ix.SetPostingObserver(nil)
-	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if observed != 1 {
-		t.Fatal("observer fired after uninstall")
 	}
 }

@@ -3,10 +3,7 @@ package pathindex
 // IndexMetrics is a point-in-time snapshot of the read path's counters,
 // exported by the server as the peg_index_* metrics family.
 type IndexMetrics struct {
-	// Format is the on-disk layout serving probes ("v1" or "v2").
-	Format string
-	// MappedBytes is the size of the mmap'd region for a packed index, 0
-	// for the v1 pager-backed layout (which owns a heap cache instead).
+	// MappedBytes is the size of the mmap'd index file.
 	MappedBytes int64
 	// Probes counts Lookup calls answered since open.
 	Probes uint64
@@ -17,15 +14,14 @@ type IndexMetrics struct {
 type MetricsSource interface {
 	IndexMetrics() IndexMetrics
 	// SetPostingObserver installs fn to receive the wall-clock microseconds
-	// of each posting-blob decode (packed format only; the v1 read path has
-	// no distinct decode phase). fn must be cheap and safe for concurrent
+	// of each posting-blob decode. fn must be cheap and safe for concurrent
 	// calls; nil uninstalls.
 	SetPostingObserver(fn func(micros float64))
 }
 
 // IndexMetrics implements MetricsSource.
 func (ix *Index) IndexMetrics() IndexMetrics {
-	m := IndexMetrics{Format: ix.Format().String(), Probes: ix.probes.Load()}
+	m := IndexMetrics{Probes: ix.probes.Load()}
 	if ix.packed != nil {
 		m.MappedBytes = ix.packed.MappedBytes()
 	}
@@ -39,12 +35,4 @@ func (ix *Index) SetPostingObserver(fn func(micros float64)) {
 		return
 	}
 	ix.obs.Store(&fn)
-}
-
-// Format reports the on-disk layout backing this index.
-func (ix *Index) Format() Format {
-	if ix.packed != nil || ix.pw != nil {
-		return FormatPacked
-	}
-	return FormatBTree
 }

@@ -2,14 +2,18 @@ package pathindex
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/entity"
 	"repro/internal/fixtures"
+	"repro/internal/gen"
 	"repro/internal/prob"
 	"repro/internal/refgraph"
 )
@@ -27,6 +31,21 @@ func buildIndex(t *testing.T, g *entity.Graph, opt Options) *Index {
 	return ix
 }
 
+// buildAndReopen builds an index into a fresh directory and opens that
+// directory a second time: built is the handle Build returned, reopened
+// reads everything — options, context tables, postings — from packed.idx.
+func buildAndReopen(t *testing.T, g *entity.Graph, opt Options) (built, reopened *Index) {
+	t.Helper()
+	opt.Dir = t.TempDir()
+	built = buildIndex(t, g, opt)
+	reopened, err := Open(opt.Dir, g)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	return built, reopened
+}
+
 func motivating(t *testing.T) *entity.Graph {
 	t.Helper()
 	g, err := fixtures.MotivatingGraph()
@@ -34,6 +53,31 @@ func motivating(t *testing.T) *entity.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+func syntheticGraph(t *testing.T, seed int64) *entity.Graph {
+	t.Helper()
+	d, err := gen.Synthetic(gen.SynthOptions{
+		Refs: 40, EdgeFactor: 2, Labels: 4, UncertainFrac: 0.4,
+		Groups: 3, GroupSize: 3, PairsPerGroup: 2, Seed: seed,
+	})
+	if err != nil {
+		t.Fatalf("Synthetic: %v", err)
+	}
+	g, err := entity.Build(d, entity.BuildOptions{})
+	if err != nil {
+		t.Fatalf("entity.Build: %v", err)
+	}
+	return g
+}
+
+// reverseNodes returns a reversed copy of a node sequence.
+func reverseNodes(nodes []entity.ID) []entity.ID {
+	out := make([]entity.ID, len(nodes))
+	for i, n := range nodes {
+		out[len(nodes)-1-i] = n
+	}
+	return out
 }
 
 // pathKey flattens a node sequence for comparisons.
@@ -346,85 +390,116 @@ func TestContextFigure3(t *testing.T) {
 	}
 }
 
+// TestContextSaveLoad: the context tables persist in packed.idx, so an
+// index reopened from its directory serves tables bitwise equal to those
+// ComputeContext derives from the graph.
 func TestContextSaveLoad(t *testing.T) {
-	g := motivating(t)
-	c := ComputeContext(g, 0)
-	path := filepath.Join(t.TempDir(), "ctx.bin")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
+	graphs := []*entity.Graph{motivating(t)}
+	for _, seed := range []int64{1, 2, 3} {
+		graphs = append(graphs, syntheticGraph(t, seed))
 	}
-	c2, err := LoadContext(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for l := 0; l < g.NumLabels(); l++ {
-			id, lid := entity.ID(v), prob.LabelID(l)
-			if c.Card(id, lid) != c2.Card(id, lid) ||
-				c.PPU(id, lid) != c2.PPU(id, lid) ||
-				c.FPU(id, lid) != c2.FPU(id, lid) {
-				t.Fatalf("context differs at (%d,%d)", v, l)
+	for gi, g := range graphs {
+		_, ix := buildAndReopen(t, g, Options{MaxLen: 2, Beta: 0.05, Gamma: 0.1})
+		want, got := ComputeContext(g, 1), ix.Context()
+		for v := 0; v < g.NumNodes(); v++ {
+			for s := 0; s < g.NumLabels(); s++ {
+				id, sig := entity.ID(v), prob.LabelID(s)
+				if got.Card(id, sig) != want.Card(id, sig) ||
+					math.Float64bits(got.PPU(id, sig)) != math.Float64bits(want.PPU(id, sig)) ||
+					math.Float64bits(got.FPU(id, sig)) != math.Float64bits(want.FPU(id, sig)) {
+					t.Fatalf("graph %d: context (%d,%d) differs from ComputeContext", gi, v, s)
+				}
 			}
 		}
 	}
 }
 
+// TestHistogramExactAtGridPoints pins the Section 5.2.1 histogram: at every
+// grid point β+iγ, Cardinality is the exact number of paths Lookup returns
+// (palindromic sequences count both orientations in each), and an absent
+// sequence estimates 0.
 func TestHistogramExactAtGridPoints(t *testing.T) {
-	h := NewHistograms(0.1, 0.1)
-	// 10 buckets: [0.1,0.2) ... [1.0, ...]
-	h.AddN(7, 0, 5) // 5 entries in [0.1,0.2)
-	h.AddN(7, 5, 3) // 3 entries in [0.6,0.7)
-	h.AddN(7, 9, 2) // 2 entries at 1.0
-	if got := h.CumulativeAt(7, 0); got != 10 {
-		t.Errorf("hist(X, 0.1) = %d, want 10", got)
-	}
-	if got := h.CumulativeAt(7, 5); got != 5 {
-		t.Errorf("hist(X, 0.6) = %d, want 5", got)
-	}
-	if got := h.CumulativeAt(7, 9); got != 2 {
-		t.Errorf("hist(X, 1.0) = %d, want 2", got)
-	}
-	if got := h.Estimate(7, 0.1); got != 10 {
-		t.Errorf("Estimate(0.1) = %v", got)
-	}
-	if got := h.Estimate(99, 0.5); got != 0 {
-		t.Errorf("Estimate(unknown seq) = %v", got)
-	}
-}
-
-func TestHistogramInterpolationMonotone(t *testing.T) {
-	h := NewHistograms(0.1, 0.1)
-	h.AddN(1, 0, 100)
-	h.AddN(1, 3, 50)
-	h.AddN(1, 6, 20)
-	h.AddN(1, 9, 5)
-	prev := math.Inf(1)
-	for a := 0.1; a <= 1.0; a += 0.01 {
-		got := h.Estimate(1, a)
-		if got > prev+1e-9 {
-			t.Fatalf("estimate not monotone at α=%v: %v > %v", a, got, prev)
+	for _, seed := range []int64{1, 2, 3} {
+		g := syntheticGraph(t, seed)
+		// Dyadic β and γ keep every grid point exactly representable.
+		ix := buildIndex(t, g, Options{MaxLen: 3, Beta: 0.0625, Gamma: 0.125})
+		nb := numBuckets(ix.Beta(), ix.Gamma())
+		for _, X := range ix.Sequences() {
+			for _, Y := range [][]prob.LabelID{X, reverseLabels(X)} {
+				for i := 0; i < nb; i++ {
+					alpha := bucketFloor(uint16(i), ix.Beta(), ix.Gamma())
+					ms, err := ix.Lookup(Y, alpha)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if est := ix.Cardinality(Y, alpha); est != float64(len(ms)) {
+						t.Fatalf("seed %d X=%v grid α=%v: estimate %v, Lookup returns %d",
+							seed, Y, alpha, est, len(ms))
+					}
+				}
+			}
 		}
-		prev = got
+		absent := []prob.LabelID{prob.LabelID(g.NumLabels()), 0}
+		if est := ix.Cardinality(absent, 0.5); est != 0 {
+			t.Errorf("seed %d: Cardinality(absent sequence) = %v", seed, est)
+		}
 	}
 }
 
+// TestHistogramInterpolationMonotone sweeps α across and between the grid
+// points: the curve-fit estimate never increases with α.
+func TestHistogramInterpolationMonotone(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		g := syntheticGraph(t, seed)
+		ix := buildIndex(t, g, Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1})
+		for _, X := range ix.Sequences() {
+			prev := math.Inf(1)
+			for a := ix.Beta(); a <= 1.0; a += 0.01 {
+				got := ix.Cardinality(X, a)
+				if got > prev+1e-9 {
+					t.Fatalf("seed %d X=%v: estimate not monotone at α=%v: %v > %v", seed, X, a, got, prev)
+				}
+				prev = got
+			}
+		}
+	}
+}
+
+// TestHistogramSaveLoad: the per-bucket counts persist with every key in
+// packed.idx and β, γ with its header, so a reopened index lists the same
+// sequences, estimates bitwise as the built one on and between grid points,
+// and stays exact at every grid point.
 func TestHistogramSaveLoad(t *testing.T) {
-	h := NewHistograms(0.3, 0.1)
-	h.AddN(0, 0, 7)
-	h.AddN(3, 2, 9)
-	path := filepath.Join(t.TempDir(), "hist.bin")
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
+	g := syntheticGraph(t, 7)
+	// Dyadic β and γ keep every grid point exactly representable.
+	built, ix := buildAndReopen(t, g, Options{MaxLen: 3, Beta: 0.0625, Gamma: 0.125})
+	if ix.Beta() != built.Beta() || ix.Gamma() != built.Gamma() {
+		t.Fatalf("reopened β, γ = %v, %v; built %v, %v", ix.Beta(), ix.Gamma(), built.Beta(), built.Gamma())
 	}
-	h2, err := LoadHistograms(path)
-	if err != nil {
-		t.Fatal(err)
+	seqs := ix.Sequences()
+	if len(seqs) == 0 || !reflect.DeepEqual(seqs, built.Sequences()) {
+		t.Fatalf("reopened index lists %d sequences, built %d", len(seqs), len(built.Sequences()))
 	}
-	if h2.CumulativeAt(0, 0) != 7 || h2.CumulativeAt(3, 0) != 9 {
-		t.Error("histogram counts lost")
+	if ix.Stats().Sequences != built.Stats().Sequences {
+		t.Errorf("Stats().Sequences = %d, built %d", ix.Stats().Sequences, built.Stats().Sequences)
 	}
-	if h2.NumSeqs() != 2 {
-		t.Errorf("NumSeqs = %d", h2.NumSeqs())
+	nb := numBuckets(ix.Beta(), ix.Gamma())
+	for _, X := range seqs {
+		for i := 0; i < nb; i++ {
+			grid := bucketFloor(uint16(i), ix.Beta(), ix.Gamma())
+			for _, alpha := range []float64{grid, grid + ix.Gamma()/2} {
+				if a, b := ix.Cardinality(X, alpha), built.Cardinality(X, alpha); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("X=%v α=%v: reopened estimate %v, built %v", X, alpha, a, b)
+				}
+			}
+			ms, err := ix.Lookup(X, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est := ix.Cardinality(X, grid); est != float64(len(ms)) {
+				t.Fatalf("X=%v grid α=%v: reopened estimate %v, Lookup returns %d", X, grid, est, len(ms))
+			}
+		}
 	}
 }
 
@@ -443,8 +518,39 @@ func TestCardinalityMatchesLookup(t *testing.T) {
 	}
 }
 
-// Property: for random small graphs, Lookup(X, α) with α ≥ β equals the
-// on-demand (brute force) enumeration for every sampled sequence.
+// assertLookupMatchesBruteForce requires Lookup(X, α) to return exactly the
+// path set of the on-demand enumeration, with the same probabilities.
+func assertLookupMatchesBruteForce(t *testing.T, ix *Index, X []prob.LabelID, alpha float64, what string) {
+	t.Helper()
+	got, err := ix.Lookup(X, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ix.onDemand(X, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortMatches(got)
+	sortMatches(want)
+	if len(got) != len(want) {
+		t.Fatalf("%s X=%v α=%.3f: index %d paths, brute force %d", what, X, alpha, len(got), len(want))
+	}
+	for i := range got {
+		if pathKey(got[i].Nodes) != pathKey(want[i].Nodes) {
+			t.Fatalf("%s X=%v α=%.3f: path sets differ at %d: %v vs %v",
+				what, X, alpha, i, got[i].Nodes, want[i].Nodes)
+		}
+		if math.Abs(got[i].Pr()-want[i].Pr()) > 1e-9 {
+			t.Fatalf("%s X=%v α=%.3f: prob differs for %v: %v vs %v",
+				what, X, alpha, got[i].Nodes, got[i].Pr(), want[i].Pr())
+		}
+	}
+}
+
+// Property: Lookup(X, α) with α ≥ β equals the on-demand (brute force)
+// enumeration — for random small graphs on sampled sequences, and for
+// seeded gen.Synthetic graphs on every stored sequence in both
+// orientations, read back through Open.
 func TestLookupAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	alphabet := prob.MustAlphabet("a", "b", "c")
@@ -484,29 +590,24 @@ func TestLookupAgainstBruteForce(t *testing.T) {
 				seq[i] = prob.LabelID(rng.Intn(3))
 			}
 			alpha := beta + rng.Float64()*(1-beta)
-			got, err := ix.Lookup(seq, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ix.onDemand(seq, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortMatches(got)
-			sortMatches(want)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d seq %v α=%.3f: index %d paths, brute force %d",
-					trial, seq, alpha, len(got), len(want))
-			}
-			for i := range got {
-				if pathKey(got[i].Nodes) != pathKey(want[i].Nodes) {
-					t.Fatalf("trial %d: path sets differ at %d: %v vs %v",
-						trial, i, got[i].Nodes, want[i].Nodes)
-				}
-				if math.Abs(got[i].Pr()-want[i].Pr()) > 1e-9 {
-					t.Fatalf("trial %d: prob differs for %v: %v vs %v",
-						trial, got[i].Nodes, got[i].Pr(), want[i].Pr())
-				}
+			assertLookupMatchesBruteForce(t, ix, seq, alpha, fmt.Sprintf("trial %d", trial))
+		}
+	}
+
+	for _, seed := range []int64{1, 2, 3} {
+		g := syntheticGraph(t, seed)
+		_, ix := buildAndReopen(t, g, Options{MaxLen: 3, Beta: 0.05, Gamma: 0.1})
+		what := fmt.Sprintf("seed %d", seed)
+		alphas := []float64{ix.Beta(), ix.Beta() + 1e-9, 0.1, 0.15, 0.31, 0.5, 0.77, 0.99, 1.0}
+		seqs := ix.Sequences()
+		if len(seqs) == 0 {
+			t.Fatalf("seed %d: empty index", seed)
+		}
+		for _, X := range append(seqs, []prob.LabelID{0, 0}) { // palindromic, possibly absent
+			for _, alpha := range alphas {
+				assertLookupMatchesBruteForce(t, ix, X, alpha, what)
+				// The reversed orientation exercises canonicalization.
+				assertLookupMatchesBruteForce(t, ix, reverseLabels(X), alpha, what)
 			}
 		}
 	}
@@ -519,10 +620,60 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Entries == 0 || st.Bytes == 0 || st.Duration == 0 {
 		t.Errorf("stats not populated: %+v", st)
 	}
+	// Bytes is the index file's size, at build and after reopen.
+	fi, err := os.Stat(filepath.Join(ix.opt.Dir, "packed.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Bytes != fi.Size() {
+		t.Errorf("build Bytes = %d, packed.idx is %d", st.Bytes, fi.Size())
+	}
+	re, err := Open(ix.opt.Dir, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Stats().Bytes; got != fi.Size() {
+		t.Errorf("open Bytes = %d, packed.idx is %d", got, fi.Size())
+	}
 	if len(st.EntriesPerLen) != 3 {
 		t.Errorf("EntriesPerLen = %v", st.EntriesPerLen)
 	}
 	if st.Sequences == 0 || len(ix.Sequences()) != st.Sequences {
 		t.Errorf("Sequences = %d, listed %d", st.Sequences, len(ix.Sequences()))
+	}
+}
+
+// TestIndexMetrics covers the read-path counters the index exports.
+func TestIndexMetrics(t *testing.T) {
+	g := motivating(t)
+	ix := buildIndex(t, g, Options{MaxLen: 2, Beta: 0.02, Gamma: 0.1})
+	var observed int
+	ix.SetPostingObserver(func(micros float64) {
+		if micros < 0 {
+			t.Errorf("negative decode time %v", micros)
+		}
+		observed++
+	})
+	alpha := g.Alphabet()
+	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	m := ix.IndexMetrics()
+	if m.Probes != 1 {
+		t.Fatalf("probes %d", m.Probes)
+	}
+	if m.MappedBytes == 0 {
+		t.Fatal("mapped bytes 0")
+	}
+	if observed != 1 {
+		t.Fatalf("observer fired %d times", observed)
+	}
+	ix.SetPostingObserver(nil)
+	if _, err := ix.Lookup([]prob.LabelID{alpha.ID("r"), alpha.ID("a")}, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if observed != 1 {
+		t.Fatal("observer fired after uninstall")
 	}
 }

@@ -38,7 +38,6 @@ type serverMetrics struct {
 	planCost *metrics.Histogram    // peg_plan_cost
 
 	indexInfo     *metrics.InfoGauge // peg_index_info{index}
-	indexFormat   *metrics.InfoGauge // peg_index_format_info{format}
 	postingDecode *metrics.Histogram // peg_index_posting_decode_micros
 }
 
@@ -59,11 +58,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			metrics.ExpBuckets(1, 8, 12)),
 		indexInfo: metrics.NewInfoGauge("peg_index_info",
 			"Identity of the served index generation.", "index"),
-		indexFormat: metrics.NewInfoGauge("peg_index_format_info",
-			"On-disk layout of the served index (v1 = B+ tree, v2 = packed mmap).", "format"),
-		// 1µs .. ~262ms per posting-blob decode (v2 read path only).
+		// 1µs .. ~262ms per posting-blob decode.
 		postingDecode: metrics.NewHistogram("peg_index_posting_decode_micros",
-			"Wall-clock microseconds decoding one posting blob on the packed read path.",
+			"Wall-clock microseconds decoding one posting blob on the index read path.",
 			metrics.ExpBuckets(1, 4, 10)),
 	}
 	// indexMetrics snapshots the served reader's read-path counters at
@@ -83,10 +80,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	m.reg.MustRegister(
 		m.requests, m.latency, m.stages, m.planCost, m.indexInfo,
-		m.indexFormat, m.postingDecode,
+		m.postingDecode,
 
 		metrics.NewGaugeFunc("peg_index_mapped_bytes",
-			"Bytes of the packed index file mapped into the process (0 for the v1 layout).",
+			"Bytes of the index file mapped into the process.",
 			func() float64 { return float64(indexMetrics().MappedBytes) }),
 		metrics.NewCounterFunc("peg_index_probes_total",
 			"Index Lookup probes answered by the served generation.",

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,9 +167,6 @@ func TestBuildAndManifestRoundTrip(t *testing.T) {
 		t.Fatal("manifest round-trip mismatch")
 	}
 	for _, e := range loaded.Entries {
-		if e.Format != "v2" {
-			t.Fatalf("shard %d: manifest format tag %q, want v2 (the build default)", e.Shard, e.Format)
-		}
 		f, err := os.Open(filepath.Join(dir, e.PGD))
 		if err != nil {
 			t.Fatal(err)
@@ -193,6 +191,48 @@ func TestBuildAndManifestRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: empty index", e.Shard)
 		}
 		ix.Close()
+	}
+}
+
+// TestLoadManifestFormatTag: manifests written while the index had two
+// on-disk layouts tag every entry with "format"; they still load, unchanged
+// otherwise.
+func TestLoadManifestFormatTag(t *testing.T) {
+	_, m, err := Partition(synthPGD(t, 200, 2, 17), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Entries {
+		m.Entries[i].Generation = 1
+	}
+	dir := t.TempDir()
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range raw["entries"].([]any) {
+		e.(map[string]any)["format"] = "v2"
+	}
+	if b, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatalf("manifest with format tags rejected: %v", err)
+	}
+	if !reflect.DeepEqual(m, loaded) {
+		t.Fatal("format-tagged manifest loaded differently")
 	}
 }
 

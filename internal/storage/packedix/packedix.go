@@ -169,8 +169,7 @@ func labelBytes(dst []byte, labels []uint16) []byte {
 // Add records one posting: an oriented path of len(labels) nodes whose
 // canonical label sequence is labels, in probability bucket b. Postings of
 // one (sequence, bucket) are stored in arrival order, which the reader
-// preserves — arrival order is the record-number order of the B+ tree
-// format, so scans over both formats agree byte for byte.
+// preserves, so a rebuild over the same graph decodes byte for byte alike.
 func (w *Writer) Add(labels []uint16, bucket int, nodes []uint32, prle, prn float64) error {
 	if len(labels) == 0 || len(labels)-1 > w.meta.MaxLen {
 		return fmt.Errorf("packedix: sequence of %d labels exceeds L=%d", len(labels), w.meta.MaxLen)
